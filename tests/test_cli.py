@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from qdisk.corpus import random_board
+from qdisk.disk_core import render_board
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -150,3 +157,38 @@ def test_crosscheck_random_and_glued():
     report = run_cli("crosscheck", "--glued", "--seed", "5", "--count", "5", "--max-cells", "14")
     assert report.returncode == 0
     assert json.loads(report.stdout)["discrepancies"] == []
+
+
+# SHA-256 of the `qdisk ldu` stdout, pinned so that any change to the
+# factorization engine keeps the emitted factors, labeling and trace byte for
+# byte.  Rectangles are written as H lines of W cells.
+LDU_GOLDEN = {
+    "1x60": "5f6cc14b34102596911cc7423768aac7a5e17ca4fce37238a2c342ed844a220e",
+    "2x30": "885d3171421942b011757a96fe9319440a6fb6456cd91be14a118c665b9317dc",
+    "3x30": "efc74589d6c350f5cebb0dc669ed09d208d6f20e66a1aeb3599b7f5cd0bc4e7e",
+    "10x10": "abe8fe7a45364247e93053b9fcda48d58dbe05b02e88894fb9ed6e1f2fb23b75",
+    "9x12": "17a14e84747ad68c67f30105719008eb3523ab043f0ed0d835a9b19f6143f8cd",
+    "random96": "12fb645ba6622832a25821cae82628898210dc7b16d86d73143629cd2eae0987",
+    "fig1.glue": "aff9a724e25b76416e4a871d22951e894027e1857a75e92b4f394ffc772edf35",
+    "loner.board": "b170677d09dedfb399b1c795b33e83f8d453cb0f245e21d817a3fc39b66e338a",
+}
+
+
+def _golden_input(name: str, tmp_path) -> str:
+    if (FIXTURES / name).exists():
+        return str(FIXTURES / name)
+    if name == "random96":
+        text = render_board(random_board(random.Random(1), 96))
+    else:
+        w, h = map(int, name.split("x"))
+        text = ("#" * w + "\n") * h
+    path = tmp_path / f"{name}.board"
+    path.write_text(text)
+    return str(path)
+
+
+@pytest.mark.parametrize("name", sorted(LDU_GOLDEN))
+def test_ldu_output_bytes_are_pinned(name, tmp_path):
+    result = run_cli("ldu", _golden_input(name, tmp_path))
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == LDU_GOLDEN[name]
