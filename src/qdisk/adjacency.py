@@ -32,11 +32,10 @@ class BWMatrix:
     def as_lists(self) -> list[list[int]]:
         return [list(row) for row in self.entries]
 
-    def transposed(self) -> "BWMatrix":
-        ent = tuple(
-            tuple(self.entries[i][j] for i in range(self.rows)) for j in range(self.cols)
-        )
-        return BWMatrix(entries=ent, row_squares=self.col_squares, col_squares=self.row_squares)
+    @property
+    def nonzeros(self) -> tuple[dict[int, int], ...]:
+        """Row i as {column: entry} over its nonzero entries, as in SparseBW."""
+        return tuple({j: x for j, x in enumerate(row) if x} for row in self.entries)
 
     def to_json(self) -> dict:
         return {
@@ -46,6 +45,16 @@ class BWMatrix:
             "row_squares": [_jsonify(s) for s in self.row_squares],
             "col_squares": [_jsonify(s) for s in self.col_squares],
         }
+
+
+@dataclass(frozen=True)
+class SparseBW:
+    """The same matrix stored by its nonzeros: ``nonzeros[i]`` maps the
+    column of each white neighbor of row_squares[i] to 1."""
+
+    nonzeros: tuple[dict[int, int], ...]
+    row_squares: tuple
+    col_squares: tuple
 
 
 def _jsonify(square):
@@ -90,16 +99,23 @@ def black_to_white(disk_or_union, labeling: Labeling | None = None) -> BWMatrix:
     disk = disk_or_union
     if labeling is None:
         labeling = disk.canonical_labeling()
+    sparse = sparse_black_to_white(disk, labeling)
+    rows = []
+    for nonzeros in sparse.nonzeros:
+        row = [0] * len(sparse.col_squares)
+        for j in nonzeros:
+            row[j] = 1
+        rows.append(tuple(row))
+    return BWMatrix(tuple(rows), sparse.row_squares, sparse.col_squares)
+
+
+def sparse_black_to_white(disk, labeling: Labeling) -> SparseBW:
+    """Adjacency matrix of one disk under a labeling, stored by its nonzeros."""
     _check_labeling([disk], labeling)
     blacks, whites = labeling
     col_index = {s: j for j, s in enumerate(whites)}
-    rows = []
-    for bsq in blacks:
-        row = [0] * len(whites)
-        for n in disk.neighbors(bsq):
-            row[col_index[n]] = 1
-        rows.append(tuple(row))
-    return BWMatrix(tuple(rows), tuple(blacks), tuple(whites))
+    nonzeros = tuple({col_index[n]: 1 for n in disk.neighbors(bsq)} for bsq in blacks)
+    return SparseBW(nonzeros, tuple(blacks), tuple(whites))
 
 
 def union_labeling(cp: CutPasteResult) -> Labeling:

@@ -48,10 +48,15 @@ def _json_square(s):
     return list(s) if isinstance(s, tuple) else s
 
 
-def _parse_square(token: str):
+def _parse_corner(disk, token: str):
+    """A board corner is the lattice point ``x,y``; a glued disk's is a vertex id."""
+    if isinstance(disk, Board):
+        parts = token.split(",")
+        if len(parts) != 2:
+            raise ValueError(f"--corner of a board is x,y; got {token!r}")
+        return int(parts[0]), int(parts[1])
     if "," in token:
-        x, y = token.split(",")
-        return (int(x), int(y))
+        raise ValueError(f"--corner of a glued disk is a vertex id; got {token!r}")
     return int(token)
 
 
@@ -92,7 +97,7 @@ def _cmd_diagonals(args) -> int:
 def _pick_diagonal(disk, corner_token):
     if corner_token is None:
         return canonical_good_diagonal(disk)
-    return trace_diagonal(disk, _parse_square(corner_token))
+    return trace_diagonal(disk, _parse_corner(disk, corner_token))
 
 
 def _cmd_cutpaste(args) -> int:
@@ -163,8 +168,10 @@ def _cmd_rank(args) -> int:
 def _cmd_solve(args) -> int:
     disk = _load_disk(args.file, args.format)
     v = [int(x) for x in args.rhs.split(",")] if args.rhs else []
-    f = ldu_factorize(disk)
     blacks, whites = disk.canonical_labeling()
+    if len(v) != len(blacks):
+        raise ValueError(f"--rhs has {len(v)} values; the disk has {len(blacks)} black squares")
+    f = ldu_factorize(disk)
     pos_b = {s: i for i, s in enumerate(blacks)}
     v_f = [v[pos_b[s]] for s in f.labeling[0]]
     try:
@@ -325,6 +332,10 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         location = getattr(args, "file", None)
         _emit({"code": "invalid_argument", "message": str(exc), "location": location})
+        return 1
+    except Exception as exc:  # the boundary: no input ends in a traceback
+        location = getattr(args, "file", None)
+        _emit({"code": "internal", "message": f"{type(exc).__name__}: {exc}", "location": location})
         return 1
 
 

@@ -111,6 +111,12 @@ class EntryOutOfRangeError(QdiskError):
     code = "entry_out_of_range"
 
 
+class NotTriangularError(QdiskError):
+    """An assembled factor has a nonzero on the wrong side of its diagonal."""
+
+    code = "not_triangular"
+
+
 class NonSquareError(QdiskError):
     """Determinant requested for a rectangular matrix."""
 

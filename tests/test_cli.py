@@ -130,6 +130,49 @@ def test_contradicting_side_flag_is_structured(tmp_path):
     assert json.loads(result.stdout)["code"] == "invalid_argument"
 
 
+def test_solve_rhs_must_have_one_value_per_black_square(tmp_path):
+    f = tmp_path / "b.txt"
+    f.write_text("###\n###\n")  # three black squares
+    for rhs in ("1", "1,2,3,4"):
+        result = run_cli("solve", str(f), "--rhs", rhs)
+        assert result.returncode == 1, rhs
+        assert json.loads(result.stdout)["code"] == "invalid_argument"
+        assert "Traceback" not in result.stderr
+
+
+def test_cutpaste_corner_is_parsed_by_disk_type(tmp_path):
+    f = tmp_path / "b.txt"
+    f.write_text("###\n###\n")
+    for path, corner in ((str(f), "0"), (str(FIXTURES / "fig1.glue"), "0,0")):
+        result = run_cli("cutpaste", path, "--corner", corner)
+        assert result.returncode == 1, (path, corner)
+        assert json.loads(result.stdout)["code"] == "invalid_argument"
+        assert "Traceback" not in result.stderr
+
+
+def test_unexpected_exception_is_structured(monkeypatch, capsys):
+    from qdisk import cli
+
+    def boom(disk):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "ldu_factorize", boom)
+    assert cli.main(["ldu", str(FIXTURES / "board2x2.txt")]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["code"] == "internal"
+    assert "RecursionError" in payload["message"]
+
+
+def test_long_strip_never_prints_a_traceback(tmp_path):
+    # past the recursion limit, the failure is reported as structured JSON
+    f = tmp_path / "strip.txt"
+    f.write_text("#\n" * 1200)
+    result = run_cli("ldu", str(f))
+    assert "Traceback" not in result.stderr
+    payload = json.loads(result.stdout)
+    assert result.returncode == 0 or payload["code"] == "internal"
+
+
 def test_output_is_byte_identical_across_runs(tmp_path):
     f = tmp_path / "b.txt"
     f.write_text("###\n###\n")

@@ -274,3 +274,46 @@ def test_rank_equals_rational_rank_on_glued(glued_corpus):
     for disk in glued_corpus[:8]:
         matrix, f = factorize_matrix_for(disk)
         assert rank_det(f)[0] == rank_rational(matrix.as_lists())
+
+
+def test_triangularity_check_rejects_a_doctored_factor():
+    from qdisk.errors import NotTriangularError
+    from qdisk.exact_ldu import check_triangular
+
+    f = ldu_factorize(parse_board("###\n###"))
+    lower = [{j: x for j, x in enumerate(row) if x} for row in f.lower]
+    upper = [{j: x for j, x in enumerate(row) if x} for row in f.upper]
+    check_triangular(lower, upper)
+    lower[0][2] = 1
+    with pytest.raises(NotTriangularError) as exc:
+        check_triangular(lower, upper)
+    assert exc.value.code == "not_triangular"
+    lower[0].pop(2)
+    upper[2][0] = -1
+    with pytest.raises(NotTriangularError):
+        check_triangular(lower, upper)
+
+
+def test_solve_verification_failure_is_a_structured_error():
+    from dataclasses import replace
+
+    from qdisk.errors import QdiskError
+
+    f = ldu_factorize(parse_board("##"))
+    assert solve_integer(f, [3]) == [3]
+    doctored = replace(f, lower=((2,),))  # a non-unit pivot breaks substitution
+    with pytest.raises(QdiskError, match="verification"):
+        solve_integer(doctored, [3])
+
+
+def test_white_diagonal_step_views_multiply_back(bent_hexomino):
+    from qdisk import cutpaste_labeling
+
+    d = canonical_good_diagonal(bent_hexomino)
+    cp = cut_and_paste(bent_hexomino, d)
+    matrix = black_to_white(bent_hexomino, cutpaste_labeling(bent_hexomino, d, cp))
+    step = ldu_step(matrix, d, cp)
+    assert intmat.matmul(step.left, intmat.matmul(step.middle, step.right)) == matrix.as_lists()
+    assert intmat.is_lower_triangular(step.left) and intmat.is_upper_triangular(step.right)
+    rb, rw = len(cp.removed_black), len(cp.removed_white)
+    assert step.middle_block == [row[rw:] for row in step.middle[rb:]]
