@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .disk_core import Board, QuadDisk, cell_key
-from .errors import NotACornerError, RepeatDetectedError
+from .errors import NotACornerError, NotGoodDiagonalError, RepeatDetectedError
 
 
 @dataclass(frozen=True)
@@ -91,6 +91,8 @@ def _board_trace(board: Board, corner) -> Diagonal:
 
 
 def _quad_trace(disk: QuadDisk, corner) -> Diagonal:
+    if not 0 <= corner < disk.vertex_count():
+        raise NotACornerError(f"vertex {corner} is not a vertex id in 0..{disk.vertex_count() - 1}")
     members = disk.vertex_members(corner)
     if len(members) != 1:
         raise NotACornerError(f"vertex {corner} lies in {len(members)} squares")
@@ -155,7 +157,7 @@ def trace_diagonal(disk, corner) -> Diagonal:
 def is_excellent(board: Board, d: Diagonal) -> bool:
     """Boards only: some boundary arc between v0 and vk is monotone in x and y."""
     circuit = board.boundary_circuit()
-    pos = {p: i for i, p in enumerate(circuit)}
+    pos = board.circuit_positions()
     i0, ik = pos[d.vertices[0]], pos[d.vertices[-1]]
     m = len(circuit)
 
@@ -188,49 +190,54 @@ def classify_diagonal(disk, d: Diagonal) -> Diagonal:
     return replace(d, excellent=None)
 
 
-def all_diagonals(disk) -> list[Diagonal]:
-    """One classified diagonal per corner, in canonical corner order."""
-    diags = [classify_diagonal(disk, trace_diagonal(disk, c)) for c in disk.corners()]
-    assert sum(1 for d in diags if d.good) >= 4, "valid disks have at least four good diagonals"
+def _traced_diagonals(disk) -> list[Diagonal]:
+    """One traced, unclassified diagonal per corner, in canonical corner order.
+
+    Tracing checks each diagonal's colour pattern; a valid disk has at least
+    four good diagonals.
+    """
+    diags = [trace_diagonal(disk, c) for c in disk.corners()]
+    good = sum(1 for d in diags if d.good)
+    if good < 4:
+        raise NotGoodDiagonalError(f"valid disks have at least four good diagonals; found {good}")
     return diags
 
 
-def _arcs_of(board: Board, d: Diagonal):
-    circuit = board.boundary_circuit()
-    pos = {p: i for i, p in enumerate(circuit)}
-    i0, ik = pos[d.vertices[0]], pos[d.vertices[-1]]
-    m = len(circuit)
-
-    def arc_edges(a, b):
-        edges = set()
-        while a != b:
-            nxt = (a + 1) % m
-            edges.add(frozenset((circuit[a], circuit[nxt])))
-            a = nxt
-        return frozenset(edges)
-
-    return arc_edges(i0, ik), arc_edges(ik, i0)
+def all_diagonals(disk) -> list[Diagonal]:
+    """One classified diagonal per corner, in canonical corner order."""
+    return [classify_diagonal(disk, d) for d in _traced_diagonals(disk)]
 
 
 def minimal_arc_excellent(board: Board) -> Diagonal:
     """An excellent diagonal, found as one whose boundary arc is inclusion-minimal.
 
-    Ties are broken by the smallest starting corner in row-major order.
+    Each diagonal splits the boundary circuit (m edges) into two arcs, held
+    as cyclic intervals ``(start, length)`` of circuit positions.  Arcs are
+    ordered by the row-major key of the starting corner, then by length, the
+    v0 -> vk arc before the vk -> v0 one; the first arc that strictly contains
+    no other arc wins.  Only the winner is classified.
     """
-    diags = all_diagonals(board)
-    candidates = []
-    for d in diags:
-        for arc in _arcs_of(board, d):
-            candidates.append((cell_key(d.corner), len(arc), arc, d))
-    candidates.sort(key=lambda t: (t[0], t[1]))
-    for _, _, arc, d in candidates:
-        if not any(other < arc for _, _, other, _ in candidates):
-            result = d
-            break
-    else:  # pragma: no cover - inclusion posets always have minimal elements
-        raise AssertionError("no minimal arc found")
-    assert result.good and result.excellent, "minimal-arc diagonal must be excellent"
-    return result
+    pos = board.circuit_positions()
+    m = len(pos)
+    arcs = []
+    for d in _traced_diagonals(board):
+        i0, ik = pos[d.vertices[0]], pos[d.vertices[-1]]
+        key = cell_key(d.corner)
+        length = (ik - i0) % m
+        arcs.append((key, length, i0, d))
+        arcs.append((key, m - length, ik, d))
+    arcs.sort(key=lambda t: (t[0], t[1]))
+    # (so, lo) lies strictly inside (s, l) exactly when it is shorter and
+    # starts at an offset from s that leaves it room to end inside (s, l).
+    # A finite inclusion order always has a minimal element.
+    result = next(
+        d
+        for _, l, s, d in arcs
+        if not any(lo < l and (so - s) % m + lo <= l for _, lo, so, _ in arcs)
+    )
+    if not (result.good and is_excellent(board, result)):
+        raise NotGoodDiagonalError(f"minimal-arc diagonal from {result.corner} is not good and excellent")
+    return replace(result, excellent=True)
 
 
 def canonical_good_diagonal(disk) -> Diagonal:
@@ -238,11 +245,8 @@ def canonical_good_diagonal(disk) -> Diagonal:
 
     Boards use the minimal-arc excellent diagonal so that surgery stays in
     the board world; glued disks take the good diagonal with the smallest
-    starting corner.
+    starting corner, which exists because every valid disk has four.
     """
     if isinstance(disk, Board):
         return minimal_arc_excellent(disk)
-    for d in all_diagonals(disk):
-        if d.good:
-            return d
-    raise AssertionError("valid disks always have a good diagonal")
+    return next(d for d in _traced_diagonals(disk) if d.good)

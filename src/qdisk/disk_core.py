@@ -92,8 +92,10 @@ class Board:
         "_cellset",
         "_index",
         "_nbrs",
+        "_points",
         "_corners",
         "_circuit",
+        "_circuit_pos",
         "_complex",
     )
 
@@ -108,8 +110,10 @@ class Board:
         self._cellset = frozenset(ordered)
         self._index = {c: i for i, c in enumerate(ordered)}
         self._nbrs: dict | None = None
+        self._points: dict | None = None
         self._corners: tuple | None = None
         self._circuit: tuple | None = None
+        self._circuit_pos: dict | None = None
         self._complex = None
         if validate:
             self._validate()
@@ -181,16 +185,23 @@ class Board:
             if c in self._cellset
         ]
 
-    def is_interior_vertex(self, p: Cell) -> bool:
-        return len(self.cells_at_point(p)) == 4
-
-    def corners(self) -> tuple[Cell, ...]:
-        """Boundary lattice points belonging to exactly one cell, row-major."""
-        if self._corners is None:
+    def _point_counts(self) -> dict[Cell, int]:
+        """Number of cells at each lattice point of the board."""
+        if self._points is None:
             counts: dict[Cell, int] = {}
             for (x, y) in self.cells:
                 for p in ((x, y), (x + 1, y), (x + 1, y + 1), (x, y + 1)):
                     counts[p] = counts.get(p, 0) + 1
+            self._points = counts
+        return self._points
+
+    def is_interior_vertex(self, p: Cell) -> bool:
+        return self._point_counts().get(p) == 4
+
+    def corners(self) -> tuple[Cell, ...]:
+        """Boundary lattice points belonging to exactly one cell, row-major."""
+        if self._corners is None:
+            counts = self._point_counts()
             self._corners = tuple(sorted((p for p, k in counts.items() if k == 1), key=cell_key))
         return self._corners
 
@@ -264,11 +275,14 @@ class Board:
         self._circuit = tuple(circuit)
         return self._circuit
 
+    def circuit_positions(self) -> dict[Cell, int]:
+        """Index of each boundary lattice point on ``boundary_circuit()``."""
+        if self._circuit_pos is None:
+            self._circuit_pos = {p: i for i, p in enumerate(self.boundary_circuit())}
+        return self._circuit_pos
+
     def census(self) -> BoundaryCensus:
-        counts: dict[Cell, int] = {}
-        for (x, y) in self.cells:
-            for p in ((x, y), (x + 1, y), (x + 1, y + 1), (x, y + 1)):
-                counts[p] = counts.get(p, 0) + 1
+        counts = self._point_counts()
         # a point in 4 cells is interior for boards; others lie on the boundary
         interior = sum(1 for k in counts.values() if k == 4)
         v_r: dict[int, int] = {}
@@ -286,7 +300,7 @@ class Board:
             before = circuit[i - 1][0] + circuit[i - 1][1]
             after = circuit[(i + 1) % m][0] + circuit[(i + 1) % m][1]
             if (h - before) * (h - after) > 0:  # local extremum of x+y
-                if len(self.cells_at_point(p)) == 1:
+                if counts[p] == 1:
                     pos += 1
                 else:
                     neg += 1

@@ -137,6 +137,9 @@ def superposition(disk, t1: Tiling, t2: Tiling) -> SuperpositionCurve:
         cover2[dom[1]] = dom
     idx = disk.index
     unused = set(rest1)
+    # a closed curve alternating two perfect matchings uses each of their
+    # differing dominoes at most once
+    longest = len(rest1) + len(rest2)
     curves = []
     for start in sorted(rest1, key=lambda p: (idx(p[0]), idx(p[1]))):
         if start not in unused:
@@ -144,16 +147,17 @@ def superposition(disk, t1: Tiling, t2: Tiling) -> SuperpositionCurve:
         curve = [start]
         unused.discard(start)
         square = start[1]
-        cur, other_cover = start, cover2
+        other_cover = cover2
         while True:
-            nxt = other_cover[square]
+            nxt = other_cover.get(square)
+            if nxt is None or len(curve) > longest:
+                raise InconsistentTilingError("superposition curve does not close by alternating the two tilings")
             if nxt == start:
                 break
             curve.append(nxt)
             unused.discard(nxt)
             square = nxt[0] if nxt[1] == square else nxt[1]
             other_cover = cover1 if other_cover is cover2 else cover2
-        assert len(curve) % 2 == 0, "superposition curves alternate tilings"
         curves.append(tuple(curve))
     discarded = tuple(sorted(common, key=lambda p: (idx(p[0]), idx(p[1]))))
     return SuperpositionCurve(tuple(curves), discarded)

@@ -150,6 +150,15 @@ def test_cutpaste_corner_is_parsed_by_disk_type(tmp_path):
         assert "Traceback" not in result.stderr
 
 
+def test_glued_corner_out_of_range_is_not_a_corner():
+    # fig1.glue has 23 vertices; -1 must not wrap around to the last one
+    for corner in ("999", "-1"):
+        result = run_cli("cutpaste", str(FIXTURES / "fig1.glue"), "--corner", corner)
+        assert result.returncode == 1, corner
+        assert json.loads(result.stdout)["code"] == "not_a_corner"
+        assert "Traceback" not in result.stderr
+
+
 def test_unexpected_exception_is_structured(monkeypatch, capsys):
     from qdisk import cli
 
@@ -235,3 +244,42 @@ def test_ldu_output_bytes_are_pinned(name, tmp_path):
     result = run_cli("ldu", _golden_input(name, tmp_path))
     assert result.returncode == 0, result.stdout + result.stderr
     assert hashlib.sha256(result.stdout.encode()).hexdigest() == LDU_GOLDEN[name]
+
+
+# SHA-256 of `qdisk diagonals --json` and of `qdisk cutpaste` stdout (default
+# diagonal) on the same inputs, pinned so that diagonal tracing, the canonical
+# choice and the surgery along it keep their bytes.
+DIAGONALS_GOLDEN = {
+    "1x60": "4fcf14bcb7a45dbce453a41687c494462b8a51ab34be5aadae22ef5561949072",
+    "2x30": "758352590b0cff354204d8070a78dcb56d53e56734f27a11eb80ea70646fa9c5",
+    "3x30": "b16a96360b25834cded56a555239aa1580d72464a950e5cfe7961da09a6ca1ae",
+    "10x10": "5d81dc3cc207f547b197f07c517aed65ebe9f15b1b9da86c01329d17c46b1ff5",
+    "9x12": "bef03f92ac314cac6016fb9fbb5fa7fdc5f19715ac1db9acae474c065c730136",
+    "random96": "96b9030f9c5949a239ec7c3cfb8f79731a640409c993351c0d21e4b6039ef9ed",
+    "fig1.glue": "38910477fb6ff50aa950506c638e78d70f82f1b6d6fe075dbac11e8094a58a56",
+    "loner.board": "07374d3d93eba022703fe957e93eaa561165489c947b947047cbe7e453744fd3",
+}
+CUTPASTE_GOLDEN = {
+    "1x60": "345a46399623ad7b6ea280f8f0ea3782ce134dc02fb86c810523a7fb5dc77404",
+    "2x30": "3a56ccc555ed46a56a856a4b3ad9b57f39de191c5c521504d778f4229f8b5c3e",
+    "3x30": "17d203b2021ef385faf0bbc9bec076e365cd7dd81c4479577efca2b58a74f509",
+    "10x10": "4c664786b805446d571828e09b1bfc60114e8c9df20e6cc5abbe47fd27e22245",
+    "9x12": "2be14cec66242a1af8160bb174df8e3e5be809b62a82ad4a10784472284e7143",
+    "random96": "ef055108b8bdd13d16c7136557311cd7490b8702a34ba8921fe1c388e5f958bb",
+    "fig1.glue": "c7cbcbf9ee59eed92bc34f9e8ae156ffbbdd784cd560b19b0c4b7c26a4f1b594",
+    "loner.board": "1ed4b0d7cbaf822492146a18deffd53c5e990d12ac9e476c53bd2554e435e7b6",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIAGONALS_GOLDEN))
+def test_diagonals_output_bytes_are_pinned(name, tmp_path):
+    result = run_cli("diagonals", _golden_input(name, tmp_path), "--json")
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == DIAGONALS_GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(CUTPASTE_GOLDEN))
+def test_cutpaste_output_bytes_are_pinned(name, tmp_path):
+    result = run_cli("cutpaste", _golden_input(name, tmp_path))
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == CUTPASTE_GOLDEN[name]

@@ -2,6 +2,14 @@
 
 from __future__ import annotations
 
+import os
+import random
+import subprocess
+import sys
+import textwrap
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 
 from qdisk import (
@@ -12,8 +20,10 @@ from qdisk import (
     parse_board,
     trace_diagonal,
 )
-from qdisk.corpus import all_boards
-from qdisk.errors import NotACornerError
+from qdisk.corpus import all_boards, random_board
+from qdisk.disk_core import cell_key
+from qdisk import diagonals
+from qdisk.errors import NotACornerError, NotGoodDiagonalError
 
 
 def test_trace_1x2():
@@ -109,6 +119,39 @@ def test_minimal_arc_unit_square():
     assert d.excellent
 
 
+def _reference_arcs(board, d):
+    """Both boundary arcs of a diagonal, as frozensets of boundary edges."""
+    circuit = board.boundary_circuit()
+    pos = {p: i for i, p in enumerate(circuit)}
+    i0, ik = pos[d.vertices[0]], pos[d.vertices[-1]]
+    m = len(circuit)
+
+    def arc_edges(a, b):
+        edges = set()
+        while a != b:
+            nxt = (a + 1) % m
+            edges.add(frozenset((circuit[a], circuit[nxt])))
+            a = nxt
+        return frozenset(edges)
+
+    return arc_edges(i0, ik), arc_edges(ik, i0)
+
+
+def reference_minimal_arc_excellent(board):
+    """The set-algebra selector: every classified diagonal contributes both of
+    its edge-set arcs; sorted by (row-major corner, arc length) with the
+    v0 -> vk arc first, the first arc strictly containing no other wins."""
+    candidates = []
+    for d in all_diagonals(board):
+        for arc in _reference_arcs(board, d):
+            candidates.append((cell_key(d.corner), len(arc), arc, d))
+    candidates.sort(key=lambda t: (t[0], t[1]))
+    for _, _, arc, d in candidates:
+        if not any(other < arc for _, _, other, _ in candidates):
+            return d
+    raise AssertionError("inclusion orders always have minimal elements")
+
+
 def test_minimal_arc_2x3_brute_force():
     # oracle: collect both boundary arcs of all four diagonals and check the
     # minimal ones by inclusion directly
@@ -119,11 +162,30 @@ def test_minimal_arc_2x3_brute_force():
     assert d.corner == (0, 0)
     # oracle: no boundary arc of any diagonal is strictly contained in an arc
     # of the chosen one
-    from qdisk.diagonals import _arcs_of
-
-    arcs = [arc for dd in __import__("qdisk").all_diagonals(b) for arc in _arcs_of(b, dd)]
-    chosen = min(_arcs_of(b, d), key=len)
+    arcs = [arc for dd in all_diagonals(b) for arc in _reference_arcs(b, dd)]
+    chosen = min(_reference_arcs(b, d), key=len)
     assert not any(other < chosen for other in arcs)
+
+
+def _assert_selector_matches_reference(boards):
+    for b in boards:
+        got = canonical_good_diagonal(b)
+        want = reference_minimal_arc_excellent(b)
+        assert got == want, b.render()
+        assert want.good and want.excellent
+
+
+def test_selector_matches_reference_on_small_boards(boards_corpus):
+    _assert_selector_matches_reference(boards_corpus)
+
+
+def test_selector_matches_reference_on_random_boards(random_boards_corpus):
+    _assert_selector_matches_reference(random_boards_corpus)
+
+
+def test_selector_matches_reference_on_large_boards():
+    rng = random.Random(606)
+    _assert_selector_matches_reference(random_board(rng, rng.randrange(100, 401)) for _ in range(20))
 
 
 def test_minimal_arc_avoids_non_excellent_diagonal(bent_hexomino):
@@ -176,3 +238,57 @@ def test_board_and_complex_traces_agree():
             for d in all_diagonals(cx)
         )
         assert board_chains == glued_chains
+
+
+def test_fewer_than_four_good_diagonals_is_typed(monkeypatch, hexomino, hexomino_glued):
+    # doctored traces: every diagonal reports itself bad
+    real = diagonals.trace_diagonal
+    monkeypatch.setattr(diagonals, "trace_diagonal", lambda disk, c: replace(real(disk, c), good=False))
+    for disk in (hexomino, hexomino_glued):
+        with pytest.raises(NotGoodDiagonalError):
+            all_diagonals(disk)
+        with pytest.raises(NotGoodDiagonalError):
+            canonical_good_diagonal(disk)
+
+
+def test_minimal_arc_winner_must_be_good_and_excellent(monkeypatch, hexomino):
+    monkeypatch.setattr(diagonals, "is_excellent", lambda board, d: False)
+    with pytest.raises(NotGoodDiagonalError):
+        minimal_arc_excellent(hexomino)
+    monkeypatch.undo()
+    real = diagonals.trace_diagonal
+    winner = minimal_arc_excellent(hexomino).corner
+
+    def doctored(disk, c):
+        d = real(disk, c)
+        return replace(d, good=False) if c == winner else d
+
+    monkeypatch.setattr(diagonals, "trace_diagonal", doctored)
+    with pytest.raises(NotGoodDiagonalError):
+        minimal_arc_excellent(hexomino)
+
+
+def test_winner_check_survives_optimized_python():
+    script = textwrap.dedent(
+        """
+        import sys
+        from qdisk import diagonals, parse_board
+        from qdisk.errors import NotGoodDiagonalError
+        assert False  # stripped under -O, so reaching the next line proves -O
+        diagonals.is_excellent = lambda board, d: False
+        try:
+            diagonals.minimal_arc_excellent(parse_board("###\\n###"))
+        except NotGoodDiagonalError:
+            sys.exit(0)
+        sys.exit(3)
+        """
+    )
+    src = str(Path(diagonals.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.returncode == 0, result.stderr

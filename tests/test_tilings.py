@@ -20,7 +20,7 @@ from qdisk import (
     wedge_partition,
 )
 from qdisk.corpus import all_boards
-from qdisk.errors import NonSquareDiskError, NotInRError
+from qdisk.errors import InconsistentTilingError, NonSquareDiskError, NotInRError
 from qdisk.tilings import Tiling, flip_at_wedge
 
 
@@ -87,6 +87,18 @@ def test_superposition_2x3_cases():
     assert sup.lengths == (6,)
     assert not compatible(b, h_left, h_right)
     assert tiling_parity(b, h_left) == tiling_parity(b, h_right)
+
+
+def test_superposition_of_a_doctored_tiling_is_typed():
+    # the first "tiling" covers (0, 0) twice, so the alternating curve runs
+    # into a square the second tiling leaves uncovered and cannot close
+    b = parse_board("##\n##")
+    doctored = Tiling((((0, 0), (1, 0)), ((0, 0), (0, 1)), ((1, 0), (1, 1))))
+    valid = Tiling((((0, 0), (1, 0)), ((0, 1), (1, 1))))
+    with pytest.raises(InconsistentTilingError):
+        superposition(b, doctored, valid)
+    with pytest.raises(InconsistentTilingError):
+        compatible(b, valid, Tiling((((0, 0), (0, 1)),)))
 
 
 def test_wedges_unbalanced_r_empty():
