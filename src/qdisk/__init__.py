@@ -20,8 +20,6 @@ from .disk_core import (
     Board,
     BoundaryCensus,
     QuadDisk,
-    bicolor,
-    dual_graph,
     parse_board,
     parse_glued,
     render_board,
@@ -68,7 +66,6 @@ __all__ = [
     "SuperpositionCurve",
     "Tiling",
     "all_diagonals",
-    "bicolor",
     "black_to_white",
     "block_eliminate",
     "canonical_good_diagonal",
@@ -78,7 +75,6 @@ __all__ = [
     "cutpaste_labeling",
     "det_exact",
     "detach",
-    "dual_graph",
     "enumerate_tilings",
     "ldu_factorize",
     "ldu_step",

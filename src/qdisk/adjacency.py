@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 from .cutpaste import CutPasteResult
 from .diagonals import Diagonal
+from .disk_core import json_square
 from .errors import BadLabelingError, InconsistentMapError
 
 
@@ -42,8 +43,8 @@ class BWMatrix:
             "rows": self.rows,
             "cols": self.cols,
             "entries": self.as_lists(),
-            "row_squares": [_jsonify(s) for s in self.row_squares],
-            "col_squares": [_jsonify(s) for s in self.col_squares],
+            "row_squares": [json_square(s) for s in self.row_squares],
+            "col_squares": [json_square(s) for s in self.col_squares],
         }
 
 
@@ -55,10 +56,6 @@ class SparseBW:
     nonzeros: tuple[dict[int, int], ...]
     row_squares: tuple
     col_squares: tuple
-
-
-def _jsonify(square):
-    return list(square) if isinstance(square, tuple) else square
 
 
 Labeling = tuple[tuple, tuple]  # (black squares in order, white squares in order)
@@ -172,14 +169,3 @@ def cutpaste_labeling(
     blacks = tuple(rem_black) + tuple(inner_blacks)
     whites = tuple(rem_white) + tuple(inner_whites)
     return blacks, whites
-
-
-def survivor_columns(cp: CutPasteResult, labeling: Labeling) -> list[int]:
-    """1-based positions of the surviving merge flanks in the labeling.
-
-    For a black diagonal these are column indices of the merged whites; for a
-    white diagonal they index rows instead.  Each exceeds the removed count.
-    """
-    seq = labeling[1] if cp.diag_black else labeling[0]
-    pos = {s: i + 1 for i, s in enumerate(seq)}
-    return [pos[survivor] for _, _, survivor in cp.merges]

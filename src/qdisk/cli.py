@@ -15,7 +15,7 @@ from . import corpus as corpus_mod
 from .adjacency import black_to_white
 from .cutpaste import cut_and_paste
 from .diagonals import all_diagonals, canonical_good_diagonal, trace_diagonal
-from .disk_core import Board, parse_board, parse_glued, render_board, render_glue, validate
+from .disk_core import Board, json_square, parse_board, parse_glued, render_board, render_glue, validate
 from .errors import NoRationalSolution, QdiskError
 from .exact_ldu import det_canonical, ldu_factorize, rank_det, solve_integer
 from .oracles import det_bareiss, rank_mod2, rank_rational
@@ -44,10 +44,6 @@ def _load_disk(path: str, fmt: str):
     return parse_glued(text)
 
 
-def _json_square(s):
-    return list(s) if isinstance(s, tuple) else s
-
-
 def _parse_corner(disk, token: str):
     """A board corner is the lattice point ``x,y``; a glued disk's is a vertex id."""
     if isinstance(disk, Board):
@@ -60,18 +56,56 @@ def _parse_corner(disk, token: str):
     return int(token)
 
 
+class _Raw(str):
+    """A piece of JSON text that is already encoded."""
+
+
+_encode = json.JSONEncoder(sort_keys=True).encode
+
+
+def _dumps(obj) -> str:
+    """``json.dumps(obj, sort_keys=True)``, on an explicit stack.
+
+    A surgery trace nests two JSON levels per surgery level, deeper than
+    ``json.dumps`` can recurse on a long strip.  Dicts (with string keys, as
+    every command emits) and lists that hold dicts are opened here; every
+    other value is encoded whole.
+    """
+    parts = []
+    todo = [obj]
+    while todo:
+        x = todo.pop()
+        if type(x) is _Raw:
+            parts.append(x)
+        elif isinstance(x, dict) and x:
+            items = []
+            for k, v in sorted(x.items()):
+                items += [_Raw(", " + _encode(k) + ": "), v]
+            items[0] = _Raw("{" + items[0][2:])
+            todo += reversed(items + [_Raw("}")])
+        elif isinstance(x, (list, tuple)) and any(isinstance(v, dict) for v in x):
+            items = []
+            for v in x:
+                items += [_Raw(", "), v]
+            items[0] = _Raw("[")
+            todo += reversed(items + [_Raw("]")])
+        else:
+            parts.append(_encode(x))
+    return "".join(parts)
+
+
 def _emit(obj) -> None:
-    print(json.dumps(obj, sort_keys=True))
+    print(_dumps(obj))
 
 
 def _diagonal_record(d) -> dict:
     return {
-        "corner": _json_square(d.corner),
+        "corner": json_square(d.corner),
         "length": d.length,
         "good": d.good,
         "balanced": d.balanced,
         "excellent": d.excellent,
-        "squares": [_json_square(s) for s in d.squares],
+        "squares": [json_square(s) for s in d.squares],
     }
 
 
@@ -114,14 +148,14 @@ def _cmd_cutpaste(args) -> int:
         {
             "balanced": cp.balanced,
             "deleted_side": cp.deleted_side,
-            "removed_black": [_json_square(s) for s in cp.removed_black],
-            "removed_white": [_json_square(s) for s in cp.removed_white],
+            "removed_black": [json_square(s) for s in cp.removed_black],
+            "removed_white": [json_square(s) for s in cp.removed_white],
             "merges": [
-                [_json_square(l), _json_square(r), _json_square(v)] for l, r, v in cp.merges
+                [json_square(l), json_square(r), json_square(v)] for l, r, v in cp.merges
             ],
             "components": components,
             "square_map": sorted(
-                [[_json_square(s), [ci, _json_square(t)]] for s, (ci, t) in cp.square_map.items()]
+                [[json_square(s), [ci, json_square(t)]] for s, (ci, t) in cp.square_map.items()]
             ),
         }
     )
@@ -144,8 +178,8 @@ def _cmd_ldu(args) -> int:
             "D_shape": [f.middle.rows, f.middle.cols],
             "U": [list(r) for r in f.upper],
             "labeling": {
-                "blacks": [_json_square(s) for s in f.labeling[0]],
-                "whites": [_json_square(s) for s in f.labeling[1]],
+                "blacks": [json_square(s) for s in f.labeling[0]],
+                "whites": [json_square(s) for s in f.labeling[1]],
             },
             "trace": f.trace,
         }
@@ -181,7 +215,7 @@ def _cmd_solve(args) -> int:
         return 0
     pos_w = {s: i for i, s in enumerate(f.labeling[1])}
     x = [x_f[pos_w[s]] for s in whites]
-    _emit({"x": x, "whites": [_json_square(s) for s in whites]})
+    _emit({"x": x, "whites": [json_square(s) for s in whites]})
     return 0
 
 
@@ -189,7 +223,7 @@ def _cmd_tilings(args) -> int:
     disk = _load_disk(args.file, args.format)
     tilings = enumerate_tilings(disk)
     if args.list:
-        _emit([[[_json_square(a), _json_square(b)] for a, b in t.dominoes] for t in tilings])
+        _emit([[[json_square(a), json_square(b)] for a, b in t.dominoes] for t in tilings])
     elif args.signed:
         print(signed_count(disk))
     else:
@@ -199,9 +233,8 @@ def _cmd_tilings(args) -> int:
 
 def _cmd_match(args) -> int:
     disk = _load_disk(args.file, args.format)
-    tilings = enumerate_tilings(disk)
-    ids = {t: i for i, t in enumerate(tilings)}
     m = quasi_perfect_matching(disk)
+    ids = {t: i for i, t in enumerate(m.tilings)}
     _emit(
         {
             "pairs": [[ids[a], ids[b]] for a, b in m.pairs],
@@ -321,8 +354,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_corner_value(argv: list[str]) -> list[str]:
+    """Pass ``--corner X`` on as ``--corner=X``.
+
+    argparse takes a board corner with a negative coordinate, such as
+    ``-1,0``, for an option; joined to its flag, it reaches ``_parse_corner``.
+    """
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] == "--corner":
+            out[-1] = f"--corner={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_join_corner_value(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.fn(args)
     except QdiskError as exc:

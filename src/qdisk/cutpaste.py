@@ -6,15 +6,16 @@ is not), identifies opposite flanks pairwise, and splits the result at
 point-joins.  Boards are pasted by translating the right-hand region one
 diagonal step so the result stays in Z^2; when that embedding fails the
 general gluing surgery takes over and the components come back as abstract
-complexes.
+complexes.  ``surgery_fold`` repeats the surgery down to the leaves; the
+factorization and the matching are folds over it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagonals import Diagonal, _board_offsets
-from .disk_core import Board, QuadDisk
+from .diagonals import Diagonal, _board_offsets, canonical_good_diagonal
+from .disk_core import Board, QuadDisk, cell_neighbors, connected_components
 from .errors import AmbiguousSideError, NotADiskError, NotGoodDiagonalError
 
 
@@ -120,6 +121,45 @@ def cut_and_paste(disk, d: Diagonal, delete_side: str | None = None) -> CutPaste
     return _quad_cutpaste(disk, d, deleted, side)
 
 
+def surgery_fold(disk, node):
+    """Fold ``node`` over the surgery tree of ``disk``, on an explicit stack.
+
+    ``node(d)`` is a generator.  At a leaf it returns its value at once.
+    Otherwise it yields once and is sent ``(diagonal, cut, child_values)``:
+    the canonical good diagonal of ``d``, the cut along it and the values of
+    the pasted components, in component order; it then returns its own value.
+    The tree is walked depth first, so no disk is cut twice and the Python
+    stack does not grow with the depth of the surgery.
+    """
+    stack = []  # (generator, diagonal, cut, child values) per open node
+    current = disk
+    while True:
+        gen = node(current)
+        try:
+            next(gen)
+        except StopIteration as leaf:
+            if not stack:
+                return leaf.value
+            stack[-1][3].append(leaf.value)
+        else:
+            d = canonical_good_diagonal(current)
+            stack.append((gen, d, cut_and_paste(current, d), []))
+        while True:
+            gen, d, cp, values = stack[-1]
+            if len(values) < len(cp.components):
+                break
+            stack.pop()
+            try:
+                gen.send((d, cp, values))
+            except StopIteration as done:
+                if not stack:
+                    return done.value
+                stack[-1][3].append(done.value)
+            else:
+                raise RuntimeError("a surgery node must yield exactly once")
+        current = cp.components[len(values)]
+
+
 # -- board path ---------------------------------------------------------------
 
 
@@ -168,7 +208,7 @@ def _board_cutpaste(board: Board, d: Diagonal, deleted: str, side: dict):
     if actual != expected:
         return None  # superimposed boundary segments would reglue a slit
 
-    comp_cells = _cell_components(new_cells)
+    comp_cells = connected_components(new_cells, cell_neighbors)
     inv = {p: c for c, p in pos.items()}
     comps = []
     for cells in comp_cells:
@@ -196,24 +236,6 @@ def _board_cutpaste(board: Board, d: Diagonal, deleted: str, side: dict):
         square_map=square_map,
         side_of=side,
     )
-
-
-def _cell_components(cells: set) -> list[set]:
-    todo = set(cells)
-    out = []
-    while todo:
-        start = todo.pop()
-        comp = {start}
-        stack = [start]
-        while stack:
-            x, y = stack.pop()
-            for n in ((x, y - 1), (x + 1, y), (x, y + 1), (x - 1, y)):
-                if n in todo:
-                    todo.remove(n)
-                    comp.add(n)
-                    stack.append(n)
-        out.append(comp)
-    return out
 
 
 # -- gluing surgery -----------------------------------------------------------
@@ -262,22 +284,7 @@ def _quad_cutpaste(disk: QuadDisk, d: Diagonal, deleted: str, side: dict) -> Cut
     for (a, _), (b, _) in new_pairs:
         adj[a].append(b)
         adj[b].append(a)
-    comp_of: dict = {}
-    comps: list[list] = []
-    for s in frames:
-        if s in comp_of:
-            continue
-        comp = [s]
-        comp_of[s] = len(comps)
-        stack = [s]
-        while stack:
-            cur = stack.pop()
-            for t in adj[cur]:
-                if t not in comp_of:
-                    comp_of[t] = len(comps)
-                    comp.append(t)
-                    stack.append(t)
-        comps.append(comp)
+    comps = connected_components(frames, adj.__getitem__)
     comps.sort(key=lambda members: min(disk.index(identity_of[s]) for s in members))
 
     components = []
@@ -348,29 +355,13 @@ def detach(region) -> list:
     if region is None:
         return []
     if isinstance(region, Board):
-        comps = _cell_components(set(region.cells))
-        comps.sort(key=lambda cells: min(region.index(c) for c in cells))
+        comps = connected_components(region.cells, cell_neighbors)
         return [Board(cells, black_parity=region.black_parity) for cells in comps]
     if region.n == 0:
         return []
-    comp_of: dict = {}
-    comps: list[list] = []
-    for s in range(region.n):
-        if s in comp_of:
-            continue
-        comp = [s]
-        comp_of[s] = len(comps)
-        stack = [s]
-        while stack:
-            cur = stack.pop()
-            for t in region.neighbors(cur):
-                if t not in comp_of:
-                    comp_of[t] = len(comps)
-                    comp.append(t)
-                    stack.append(t)
-        comps.append(sorted(comp))
     out = []
-    for members in comps:
+    for members in connected_components(range(region.n), region.neighbors):
+        members.sort()
         local = {s: i for i, s in enumerate(members)}
         gluings = [
             (local[a], e, local[b], f)

@@ -241,7 +241,7 @@ def minimal_arc_excellent(board: Board) -> Diagonal:
 
 
 def canonical_good_diagonal(disk) -> Diagonal:
-    """Deterministic good diagonal driving every recursion.
+    """Deterministic good diagonal driving every surgery.
 
     Boards use the minimal-arc excellent diagonal so that surgery stays in
     the board world; glued disks take the good diagonal with the smallest

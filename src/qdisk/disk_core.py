@@ -36,6 +36,40 @@ def cell_key(c: Cell) -> tuple[int, int]:
     return (c[1], c[0])
 
 
+def cell_neighbors(c: Cell) -> tuple[Cell, ...]:
+    """The four edge neighbours of a cell in Z^2, in slot order."""
+    x, y = c
+    return ((x, y - 1), (x + 1, y), (x, y + 1), (x - 1, y))
+
+
+def connected_components(nodes, neighbors) -> list[list]:
+    """Connected components of the graph on ``nodes``.
+
+    ``neighbors(x)`` may name points outside ``nodes``; they are skipped.
+    Components come in the order of their first node in ``nodes``, and each
+    lists its nodes in the order the flood reaches them.
+    """
+    todo = set(nodes)
+    out = []
+    for start in nodes:
+        if start not in todo:
+            continue
+        todo.remove(start)
+        comp = [start]
+        for x in comp:
+            for y in neighbors(x):
+                if y in todo:
+                    todo.remove(y)
+                    comp.append(y)
+        out.append(comp)
+    return out
+
+
+def json_square(s):
+    """A square as JSON: a board cell becomes ``[x, y]``, a glued square stays an int."""
+    return list(s) if isinstance(s, tuple) else s
+
+
 @dataclass(frozen=True)
 class BoundaryCensus:
     """Vertex, edge and face counts of a disk, split by boundary behavior."""
@@ -166,12 +200,7 @@ class Board:
         if self._nbrs is None:
             nbrs = {}
             for cell in self.cells:
-                x, y = cell
-                present = [
-                    n
-                    for n in ((x, y - 1), (x + 1, y), (x, y + 1), (x - 1, y))
-                    if n in self._cellset
-                ]
+                present = [n for n in cell_neighbors(cell) if n in self._cellset]
                 present.sort(key=cell_key)
                 nbrs[cell] = tuple(present)
             self._nbrs = nbrs
@@ -209,34 +238,14 @@ class Board:
 
     def _validate(self) -> None:
         cells = self._cellset
-        # edge-connectivity of the cell set
-        seen = {self.cells[0]}
-        stack = [self.cells[0]]
-        while stack:
-            x, y = stack.pop()
-            for n in ((x, y - 1), (x + 1, y), (x, y + 1), (x - 1, y)):
-                if n in cells and n not in seen:
-                    seen.add(n)
-                    stack.append(n)
-        if len(seen) != len(cells):
+        if len(connected_components(self.cells, cell_neighbors)) != 1:
             raise NotADiskError("cells are not edge-connected")
-        # simple connectivity: the complement of the cells inside a padded
-        # bounding box must flood from the outer rim; a sealed pocket is a hole
-        xs = [c[0] for c in self.cells]
-        ys = [c[1] for c in self.cells]
-        x0, x1 = min(xs) - 1, max(xs) + 1
-        y0, y1 = min(ys) - 1, max(ys) + 1
-        start = (x0, y0)
-        reached = {start}
-        stack = [start]
-        while stack:
-            x, y = stack.pop()
-            for n in ((x, y - 1), (x + 1, y), (x, y + 1), (x - 1, y)):
-                if x0 <= n[0] <= x1 and y0 <= n[1] <= y1 and n not in cells and n not in reached:
-                    reached.add(n)
-                    stack.append(n)
-        box_area = (x1 - x0 + 1) * (y1 - y0 + 1)
-        if len(reached) != box_area - len(cells):
+        # simple connectivity: a connected union of unit squares has Euler
+        # characteristic V - E + F = 1 - (number of holes); E counts each
+        # cell's four sides once, less the sides two cells share
+        points = {(x + i, y + j) for x, y in self.cells for i in (0, 1) for j in (0, 1)}
+        shared = sum(((x + 1, y) in cells) + ((x, y + 1) in cells) for x, y in self.cells)
+        if len(points) - (4 * len(cells) - shared) + len(cells) != 1:
             raise NotADiskError("cell set encloses a hole")
         # a pinch would give one boundary point two outgoing boundary edges
         self.boundary_circuit()
@@ -244,7 +253,8 @@ class Board:
     def boundary_circuit(self) -> tuple[Cell, ...]:
         """Boundary lattice points in counterclockwise order (disk on the left).
 
-        Starts at the row-major smallest boundary point.
+        Starts at the row-major smallest boundary point, the lower-left
+        corner of ``cells[0]``.
         """
         if self._circuit is not None:
             return self._circuit
@@ -264,7 +274,7 @@ class Board:
                 step((x + 1, y + 1), (x, y + 1))
             if (x - 1, y) not in self._cellset:
                 step((x, y + 1), (x, y))
-        start = min(succ, key=cell_key)
+        start = self.cells[0]
         circuit = [start]
         cur = succ[start]
         while cur != start:
@@ -591,15 +601,7 @@ class QuadDisk:
         """Raise unless this complex is a single quadriculated disk."""
         if self.n == 0:
             raise NonDiskError("empty complex")
-        seen = {0}
-        stack = [0]
-        while stack:
-            s = stack.pop()
-            for t in self.neighbors(s):
-                if t not in seen:
-                    seen.add(t)
-                    stack.append(t)
-        if len(seen) != self.n:
+        if len(connected_components(range(self.n), self.neighbors)) != 1:
             raise NonDiskError("dual graph is disconnected")
         self._derive_vertices()
         v = len(self._vertices)
@@ -749,29 +751,3 @@ def validate(disk) -> BoundaryCensus:
             f"boundary extrema identity failed: {census.positive} - {census.negative} != 2"
         )
     return census
-
-
-def bicolor(disk) -> dict:
-    """Canonical proper 2-coloring of the dual graph; first square is black."""
-    squares = list(disk.squares)
-    colors: dict = {}
-    for s in squares:
-        if s in colors:
-            continue
-        colors[s] = "black"
-        stack = [s]
-        while stack:
-            cur = stack.pop()
-            for t in disk.neighbors(cur):
-                want = "white" if colors[cur] == "black" else "black"
-                if t not in colors:
-                    colors[t] = want
-                    stack.append(t)
-                elif colors[t] != want:
-                    raise NotBipartiteError("dual graph contains an odd cycle")
-    return colors
-
-
-def dual_graph(disk) -> dict:
-    """Adjacency lists of the dual graph with deterministic neighbor order."""
-    return {s: disk.neighbors(s) for s in disk.squares}

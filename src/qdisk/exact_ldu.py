@@ -1,14 +1,15 @@
-"""Block elimination and the recursive {0,+1,-1} triangular factorization.
+"""Block elimination and the {0,+1,-1} triangular factorization.
 
 The factorization writes a black-to-white matrix as L * D * U where L and U
 are invertible triangular matrices, D is an identity matrix padded with zero
 rows and columns, and every entry of every factor is 0, 1 or -1.  One
 elimination step peels off the squares removed by cut-and-paste along a good
-diagonal; recursion over the pasted components assembles the full factors.
+diagonal; a fold over the surgery tree of the pasted components
+(``cutpaste.surgery_fold``) assembles the full factors.
 
 Every factor is very sparse (a step factor is the identity plus the removed
 strip, one witness entry per surviving flank and signs), so the whole
-recursion works on sparse rows: one ``{column: nonzero entry}`` dict per row.
+fold works on sparse rows: one ``{column: nonzero entry}`` dict per row.
 Each check costs time proportional to the nonzeros it reads; dense matrices
 are made only at the API boundary.
 """
@@ -20,8 +21,9 @@ from typing import NamedTuple
 
 from . import intmat
 from .adjacency import BWMatrix, Labeling, black_to_white, cutpaste_labeling, sparse_black_to_white
-from .cutpaste import CutPasteResult, cut_and_paste
-from .diagonals import Diagonal, canonical_good_diagonal
+from .cutpaste import CutPasteResult, surgery_fold
+from .diagonals import Diagonal
+from .disk_core import json_square
 from .errors import (
     BadLabelingError,
     EntryOutOfRangeError,
@@ -33,7 +35,7 @@ from .errors import (
     SingleSquareError,
     WitnessInvalidError,
 )
-from .intmat import Matrix
+from .intmat import Matrix, perm_sign
 
 Rows = list[dict[int, int]]  # one {column: nonzero entry} dict per row
 
@@ -160,45 +162,28 @@ class LDUFactorization:
         return _dense(_ldu_rows(_rows_of(self.lower), self.middle, _rows_of(self.upper)), self.middle.cols)
 
 
-def block_eliminate(m: Matrix, witness: Matrix, orientation: str, split: tuple[int, int]):
+def block_eliminate(m: Matrix, witness: Matrix, split: tuple[int, int]):
     """One two-sided block elimination.
 
-    ``split`` = (n, n') cuts m into blocks with m11 of shape n x n'.  In the
-    column orientation the witness N satisfies m11 N = m12 (n' <= n) and the
-    left factor absorbs the first columns; the row orientation is the
-    transpose statement with N m11 = m21 (n' >= n).  Returns (left, middle,
-    right) with left * middle * right == m exactly.
+    ``split`` = (n, n') cuts m into blocks with m11 of shape n x n', n' <= n.
+    The witness N satisfies m11 N = m12 and the left factor absorbs the first
+    columns.  Returns (left, middle, right) with left * middle * right == m
+    exactly.
     """
     n, np_ = split
     rows, cols = intmat.shape(m)
-    mm, mp = rows - n, cols - np_
-    if mm < 0 or mp < 0:
+    if rows < n or cols < np_:
         raise ValueError("split larger than the matrix")
-    if orientation == "column":
-        if np_ > n:
-            raise ValueError("column orientation needs n' <= n")
-        if intmat.shape(witness) != (np_, mp) and not (np_ == 0 and not witness):
-            raise WitnessInvalidError("witness has wrong shape")
-        left, middle, right = _eliminate(_rows_of(m), cols, _rows_of(witness), n, np_)
-        return _dense(left, rows), _dense(middle, cols), _dense(right, cols)
-    if orientation == "row":
-        if np_ < n:
-            raise ValueError("row orientation needs n' >= n")
-        if intmat.shape(witness) != (mm, n) and not (mm == 0 and not witness):
-            raise WitnessInvalidError("witness has wrong shape")
-        # the transposed matrix is eliminated in the column orientation
-        m_t = _transpose(_rows_of(m), cols)
-        left_t, middle_t, right_t = _eliminate(m_t, rows, _transpose(_rows_of(witness), n), np_, n)
-        return (
-            _dense(_transpose(right_t, rows), rows),
-            _dense(_transpose(middle_t, rows), cols),
-            _dense(_transpose(left_t, cols), cols),
-        )
-    raise ValueError("orientation must be 'column' or 'row'")
+    if np_ > n:
+        raise ValueError("block elimination needs n' <= n")
+    if intmat.shape(witness) != (np_, cols - np_) and not (np_ == 0 and not witness):
+        raise WitnessInvalidError("witness has wrong shape")
+    left, middle, right = _eliminate(_rows_of(m), cols, _rows_of(witness), n, np_)
+    return _dense(left, rows), _dense(middle, cols), _dense(right, cols)
 
 
 def _eliminate(m: Rows, cols: int, witness: Rows, n: int, np_: int) -> tuple[Rows, Rows, Rows]:
-    """Column-orientation block elimination on sparse rows.
+    """Block elimination on sparse rows.
 
     With R the n' x n rectangular identity, the factors are
     left = [[m11 R, 0], [m21 R, I]], middle = [[R^T, 0], [0, m22 - m21 N]]
@@ -390,11 +375,11 @@ class _SparseLDU(NamedTuple):
 
 
 def ldu_factorize(disk) -> LDUFactorization:
-    """Full recursive factorization of the disk's black-to-white matrix."""
+    """Full factorization of the disk's black-to-white matrix."""
     b, w = disk.color_counts()
     if b == 0 or w == 0:
         raise SingleSquareError("factorization needs both colors; got a degenerate matrix")
-    f = _factorize(disk)
+    f = surgery_fold(disk, _factorize)
     return LDUFactorization(
         lower=_freeze(_dense(f.lower, b)),
         middle=f.middle,
@@ -404,7 +389,8 @@ def ldu_factorize(disk) -> LDUFactorization:
     )
 
 
-def _factorize(disk) -> _SparseLDU:
+def _factorize(disk):
+    """Surgery node of the factorization: a leaf when one color is missing."""
     b, w = disk.color_counts()
     if b == 0 or w == 0:
         return _SparseLDU(
@@ -414,9 +400,7 @@ def _factorize(disk) -> _SparseLDU:
             labeling=disk.canonical_labeling(),
             trace={"squares": len(disk), "black": b, "white": w, "base": True},
         )
-    d = canonical_good_diagonal(disk)
-    cp = cut_and_paste(disk, d)
-    subs = [_factorize(comp) for comp in cp.components]
+    d, cp, subs = yield
     back = {loc: parent for parent, loc in cp.square_map.items()}
     inner_blacks = tuple(back[(ci, s)] for ci, sub in enumerate(subs) for s in sub.labeling[0])
     inner_whites = tuple(back[(ci, s)] for ci, sub in enumerate(subs) for s in sub.labeling[1])
@@ -457,7 +441,7 @@ def _factorize(disk) -> _SparseLDU:
         "squares": len(disk),
         "black": b,
         "white": w,
-        "corner": _json_square(d.corner),
+        "corner": json_square(d.corner),
         "length": d.length,
         "balanced": d.balanced,
         "deleted_side": cp.deleted_side,
@@ -468,10 +452,6 @@ def _factorize(disk) -> _SparseLDU:
 
 def _freeze(m: Matrix) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in m)
-
-
-def _json_square(s):
-    return list(s) if isinstance(s, tuple) else s
 
 
 def rank_det(f: LDUFactorization) -> tuple[int, int | None]:
@@ -491,24 +471,6 @@ def det_exact(f: LDUFactorization) -> int:
     return rank_det(f)[1]
 
 
-def _perm_sign_between(src, dst) -> int:
-    pos = {s: i for i, s in enumerate(src)}
-    perm = [pos[s] for s in dst]
-    seen = [False] * len(perm)
-    sign = 1
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, length = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
 def det_for_labeling(f: LDUFactorization, labeling: Labeling) -> int:
     """Determinant of the same matrix written under another labeling.
 
@@ -518,11 +480,11 @@ def det_for_labeling(f: LDUFactorization, labeling: Labeling) -> int:
     det = det_exact(f)
     if det == 0:
         return 0
-    return (
-        det
-        * _perm_sign_between(f.labeling[0], labeling[0])
-        * _perm_sign_between(f.labeling[1], labeling[1])
-    )
+    signs = 1
+    for src, dst in zip(f.labeling, labeling):
+        pos = {s: i for i, s in enumerate(src)}
+        signs *= perm_sign([pos[s] for s in dst])
+    return det * signs
 
 
 def det_canonical(disk, f: LDUFactorization | None = None) -> int:

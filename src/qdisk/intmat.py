@@ -101,3 +101,21 @@ def solve_upper_unit(u: Matrix, v: list[int]) -> list[int]:
         s = v[i] - sum(u[i][j] * x[j] for j in range(i + 1, n) if u[i][j])
         x[i] = s * u[i][i]
     return x
+
+
+def perm_sign(perm) -> int:
+    """Sign of a permutation of range(n), given as the list of images."""
+    seen = [False] * len(perm)
+    sign = 1
+    for i in range(len(perm)):
+        if seen[i]:
+            continue
+        length = 0
+        j = i
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            length += 1
+        if length % 2 == 0:
+            sign = -sign
+    return sign

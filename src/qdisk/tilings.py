@@ -1,15 +1,17 @@
 """Domino tilings: enumeration, parity, superposition curves, wedges along a
 diagonal, transfer across cut-and-paste, and the parity-inverting
-quasi-perfect matching built by recursion."""
+quasi-perfect matching built over the surgery tree."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .adjacency import Labeling
-from .cutpaste import CutPasteResult, cut_and_paste
-from .diagonals import Diagonal, canonical_good_diagonal
+from .cutpaste import CutPasteResult, surgery_fold
+from .diagonals import Diagonal
+from .disk_core import json_square
 from .errors import InconsistentTilingError, NonSquareDiskError, NotInRError
+from .intmat import perm_sign
 
 
 @dataclass(frozen=True)
@@ -45,29 +47,41 @@ def enumerate_tilings(disk) -> list[Tiling]:
     idx = {s: i for i, s in enumerate(sqs)}
     nbrs = [[idx[t] for t in disk.neighbors(s)] for s in sqs]
     out: list[tuple] = []
-    chosen: list[tuple[int, int]] = []
+    chosen: list[tuple[int, int]] = []  # the dominoes of the partial tiling
+    # backtracking on an explicit stack: per open square, its untried partners;
+    # an open square has its domino in chosen once it is paired
+    frames: list = []
     covered = [False] * n
-
-    def rec(start: int) -> None:
-        i = start
+    i = 0
+    while True:
         while i < n and covered[i]:
             i += 1
         if i == n:
             out.append(tuple(chosen))
-            return
-        covered[i] = True
-        for j in nbrs[i]:
-            if not covered[j]:
-                covered[j] = True
-                chosen.append((i, j))
-                rec(i + 1)
-                chosen.pop()
-                covered[j] = False
-        covered[i] = False
-
-    rec(0)
+        else:
+            covered[i] = True
+            frames.append((i, iter(nbrs[i])))
+        while frames:
+            i, partners = frames[-1]
+            if len(chosen) == len(frames):
+                covered[chosen.pop()[1]] = False
+            for j in partners:
+                if not covered[j]:
+                    covered[j] = True
+                    chosen.append((i, j))
+                    break
+            else:
+                covered[i] = False
+                frames.pop()
+                continue
+            i += 1
+            break
+        else:
+            break
     out.sort()
-    return [Tiling(tuple((sqs[a], sqs[b]) for a, b in doms)) for doms in out]
+    # one shared pair per domino, as every tiling reuses the same few dominoes
+    domino = {(a, b): (sqs[a], sqs[b]) for a in range(n) for b in nbrs[a]}
+    return [Tiling(tuple(map(domino.__getitem__, doms))) for doms in out]
 
 
 def permutation_of(disk, t: Tiling, labeling: Labeling | None = None) -> tuple[int, ...]:
@@ -88,26 +102,9 @@ def permutation_of(disk, t: Tiling, labeling: Labeling | None = None) -> tuple[i
     return tuple(perm)
 
 
-def _perm_sign(perm) -> int:
-    seen = [False] * len(perm)
-    sign = 1
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
 def tiling_parity(disk, t: Tiling, labeling: Labeling | None = None) -> int:
     """Sign of the tiling's white-to-black permutation."""
-    return _perm_sign(permutation_of(disk, t, labeling))
+    return perm_sign(permutation_of(disk, t, labeling))
 
 
 @dataclass(frozen=True)
@@ -327,23 +324,23 @@ class MatchingResult:
     pairs: tuple[tuple[Tiling, Tiling], ...]
     loner: Tiling | None
     trace: dict
+    tilings: tuple[Tiling, ...]  # every tiling of the disk, in enumeration order
 
 
 def _match(disk):
+    """Surgery node of the matching; its value is (rho, loner, trace, tilings)."""
     tilings = enumerate_tilings(disk)
     info = {"squares": len(disk), "tilings": len(tilings)}
     if not tilings:
-        return {}, None, {**info, "base": True}
+        return {}, None, {**info, "base": True}, tilings
     if len(disk) <= 2:
-        return {}, tilings[0], {**info, "base": True}
-    d = canonical_good_diagonal(disk)
-    cp = cut_and_paste(disk, d)
+        return {}, tilings[0], {**info, "base": True}, tilings
+    d, cp, subs = yield
     split = wedge_partition(disk, d, tilings)
     rho: dict = {}
     for t in split.disrespecting:
         partner = flip_at_wedge(disk, d, t, split.first_disrespected[t])
         rho[t] = partner
-    subs = [_match(comp) for comp in cp.components]
     loner = None
     for t in split.respectful:
         parts = project_tiling(disk, d, cp, t)
@@ -358,23 +355,22 @@ def _match(disk):
         rho[t] = lift_tiling(disk, d, cp, tuple(new_parts))
     trace = {
         **info,
-        "corner": list(d.corner) if isinstance(d.corner, tuple) else d.corner,
+        "corner": json_square(d.corner),
         "length": d.length,
         "balanced": d.balanced,
         "respectful": len(split.respectful),
         "disrespecting": len(split.disrespecting),
         "components": [s[2] for s in subs],
     }
-    return rho, loner, trace
+    return rho, loner, trace, tilings
 
 
 def quasi_perfect_matching(disk) -> MatchingResult:
     """Parity-inverting involution on the tilings, leaving at most one out."""
     b, w = disk.color_counts()
     if b != w:
-        return MatchingResult((), None, {"squares": len(disk), "tilings": 0, "base": True})
-    tilings = enumerate_tilings(disk)
-    rho, loner, trace = _match(disk)
+        return MatchingResult((), None, {"squares": len(disk), "tilings": 0, "base": True}, ())
+    rho, loner, trace, tilings = surgery_fold(disk, _match)
     for t, u in rho.items():
         if rho[u] != t or u == t:
             raise InconsistentTilingError("matching is not a fixed-point-free involution")
@@ -400,7 +396,7 @@ def quasi_perfect_matching(disk) -> MatchingResult:
             raise InconsistentTilingError("matched tilings share a parity")
         pairs.append((t, u) if pt == 1 else (u, t))
     pairs.sort(key=lambda pair: pair[0].dominoes)
-    return MatchingResult(tuple(pairs), loner, trace)
+    return MatchingResult(tuple(pairs), loner, trace, tuple(tilings))
 
 
 def signed_count(disk) -> int:

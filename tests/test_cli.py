@@ -159,6 +159,18 @@ def test_glued_corner_out_of_range_is_not_a_corner():
         assert "Traceback" not in result.stderr
 
 
+def test_negative_board_corner_in_two_tokens(tmp_path):
+    # argparse alone would read "-1,0" as an option and exit 2 with a usage line
+    f = tmp_path / "b.txt"
+    f.write_text("###\n###\n")
+    two = run_cli("cutpaste", str(f), "--corner", "-1,0")
+    joined = run_cli("cutpaste", str(f), "--corner=-1,0")
+    assert two.returncode == joined.returncode == 1, two.stderr
+    assert two.stdout == joined.stdout
+    assert json.loads(two.stdout)["code"] == "not_a_corner"
+    assert run_cli("cutpaste", str(f), "--corner", "0,0").stdout == run_cli("cutpaste", str(f)).stdout
+
+
 def test_unexpected_exception_is_structured(monkeypatch, capsys):
     from qdisk import cli
 
@@ -173,13 +185,23 @@ def test_unexpected_exception_is_structured(monkeypatch, capsys):
 
 
 def test_long_strip_never_prints_a_traceback(tmp_path):
-    # past the recursion limit, the failure is reported as structured JSON
+    # 600 surgery levels, well past the default recursion limit
     f = tmp_path / "strip.txt"
     f.write_text("#\n" * 1200)
     result = run_cli("ldu", str(f))
     assert "Traceback" not in result.stderr
-    payload = json.loads(result.stdout)
-    assert result.returncode == 0 or payload["code"] == "internal"
+    assert result.returncode == 0, result.stdout
+    # the trace nests two JSON levels per surgery level, 1,200 in all, past
+    # the recursion limit of the json parser
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + 2000)
+    try:
+        payload = json.loads(result.stdout)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert payload["D_shape"] == [600, 600]
+    assert len(payload["D_ones"]) == 600
+    assert len(payload["L"]) == 600 and len(payload["U"]) == 600
 
 
 def test_output_is_byte_identical_across_runs(tmp_path):
@@ -283,3 +305,40 @@ def test_cutpaste_output_bytes_are_pinned(name, tmp_path):
     result = run_cli("cutpaste", _golden_input(name, tmp_path))
     assert result.returncode == 0, result.stdout + result.stderr
     assert hashlib.sha256(result.stdout.encode()).hexdigest() == CUTPASTE_GOLDEN[name]
+
+
+# SHA-256 of `qdisk match` and of `qdisk tilings --list` stdout, pinned so that
+# the surgery that builds the matching and the enumeration order of the
+# tilings keep their bytes.  fig1.glue has 13 squares and so no tiling.
+MATCH_GOLDEN = {
+    "1x60": "b38423f19b43485f3476a8928d58da50dcf24438db334fd6cbed3a89cea41a39",
+    "2x8": "c05105b19c106dc32c570f9d8459be4249d7d8ad262c44d2f6f3752d8538868f",
+    "4x4": "22a8a9d42b1d94d01964e7d1a0d53bac14ca9702e6b3faaecf1ccb4a8147c8d5",
+    "5x6": "c45a0b93b3d7a31f8806ceeec592dd3bc3fb856b90877e2e0af93010cc711d6c",
+    "6x6": "a4759ab37710c92245ce39a9f113d971d181f776270e983916ead915c6a7c790",
+    "fig1.glue": "47d5fdcb12b3dc9e8f7c1a9ed10ac6c0dd0614d954f7797bdb05cb3726b228e1",
+    "loner.board": "04a82300ffb599f582647bef49ddc471ec17fc27233cb53fd5acc5628def8ca7",
+}
+TILINGS_LIST_GOLDEN = {
+    "1x60": "7bcba502e867fc58eadb3082a30f8ad071a142d95e42bb17064134076a4f1245",
+    "2x8": "6fe2246a536d41b5ef38b351ad2dad3dceb7a15442fead51a3da95c9dcafbc37",
+    "4x4": "623edcb8c1494aac1eaa9fa36b766e701bfc7ca6fb81b725e8b641d30ce66788",
+    "5x6": "679d42200fff2cac4f43f38b98bbf71d79be0b8899e96c95ddbffddf49d53b08",
+    "6x6": "e7706bfb67f7439a24d0d2ca74a5617e667cb0368c123e6a6c8d20f357194be0",
+    "fig1.glue": "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
+    "loner.board": "5db44a2ae8b517d859e8d69d31a1d02c262c5288e0d224919b06e2f74f063dd5",
+}
+
+
+@pytest.mark.parametrize("name", sorted(MATCH_GOLDEN))
+def test_match_output_bytes_are_pinned(name, tmp_path):
+    result = run_cli("match", _golden_input(name, tmp_path))
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == MATCH_GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(TILINGS_LIST_GOLDEN))
+def test_tilings_list_output_bytes_are_pinned(name, tmp_path):
+    result = run_cli("tilings", _golden_input(name, tmp_path), "--list")
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == TILINGS_LIST_GOLDEN[name]

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
 from qdisk import (
@@ -17,6 +21,7 @@ from qdisk import (
     validate,
 )
 from qdisk.corpus import all_boards
+from qdisk.cutpaste import surgery_fold
 from qdisk.errors import NotGoodDiagonalError
 
 
@@ -207,3 +212,64 @@ def test_abstract_surgery_on_glued_disks(glued_corpus):
             validate(comp)
         total = sum(len(c) for c in cp.components)
         assert total == len(disk) - len(cp.removed_diagonal) - len(cp.removed_flanks)
+
+
+def _recursive_fold(disk, node):
+    gen = node(disk)
+    try:
+        next(gen)
+    except StopIteration as leaf:
+        return leaf.value
+    d = canonical_good_diagonal(disk)
+    cp = cut_and_paste(disk, d)
+    values = [_recursive_fold(comp, node) for comp in cp.components]
+    with pytest.raises(StopIteration) as done:
+        gen.send((d, cp, values))
+    return done.value.value
+
+
+def test_surgery_fold_matches_a_recursive_walk():
+    def logging_node(log):
+        def node(disk):
+            log.append(disk.squares)
+            if 0 in disk.color_counts():
+                return disk.squares
+            d, cp, values = yield
+            return (disk.squares, d.corner, len(cp.components), values)
+
+        return node
+
+    for b in all_boards(7) + [parse_board("#.\n##\n#.")]:  # the last cut leaves two squares
+        fold_log, walk_log = [], []
+        assert surgery_fold(b, logging_node(fold_log)) == _recursive_fold(b, logging_node(walk_log))
+        assert fold_log == walk_log
+
+
+def test_surgery_node_that_yields_twice_is_rejected():
+    def node(disk):
+        yield
+        yield
+
+    with pytest.raises(RuntimeError):
+        surgery_fold(parse_board("##\n##"), node)
+
+
+def test_surgery_depth_does_not_grow_the_python_stack():
+    # a 1x400 strip is cut 200 times; at a recursion limit of 100 any
+    # per-level Python recursion would raise RecursionError
+    script = textwrap.dedent(
+        """
+        import sys
+        from qdisk import Board, ldu_factorize, quasi_perfect_matching
+        strip = Board([(0, y) for y in range(400)])
+        sys.setrecursionlimit(100)
+        f = ldu_factorize(strip)
+        m = quasi_perfect_matching(strip)
+        print(f.middle.rank, len(m.pairs), m.loner is not None)
+        """
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=300
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["200", "0", "True"]

@@ -7,8 +7,6 @@ import pytest
 from qdisk import (
     Board,
     QuadDisk,
-    bicolor,
-    dual_graph,
     parse_board,
     parse_glued,
     render_board,
@@ -16,6 +14,7 @@ from qdisk import (
     validate,
 )
 from qdisk.corpus import all_boards
+from qdisk.disk_core import cell_key
 from qdisk.errors import (
     CensusViolation,
     DoubleGluingError,
@@ -59,6 +58,40 @@ def test_board_with_hole_rejected():
     ring = [(x, y) for x in range(3) for y in range(3) if (x, y) != (1, 1)]
     with pytest.raises(NotADiskError):
         Board(ring)
+
+
+def _reference_has_hole(cells) -> bool:
+    """Flood the complement inside a padded bounding box from its corner."""
+    xs = [x for x, _ in cells]
+    ys = [y for _, y in cells]
+    x0, x1, y0, y1 = min(xs) - 1, max(xs) + 1, min(ys) - 1, max(ys) + 1
+    reached = {(x0, y0)}
+    stack = [(x0, y0)]
+    while stack:
+        x, y = stack.pop()
+        for n in ((x, y - 1), (x + 1, y), (x, y + 1), (x - 1, y)):
+            if x0 <= n[0] <= x1 and y0 <= n[1] <= y1 and n not in cells and n not in reached:
+                reached.add(n)
+                stack.append(n)
+    return len(reached) != (x1 - x0 + 1) * (y1 - y0 + 1) - len(cells)
+
+
+def test_hole_check_matches_a_flood_on_every_subset_of_a_4x4_grid():
+    grid = [(x, y) for y in range(4) for x in range(4)]
+    holes = 0
+    for mask in range(1, 1 << len(grid)):
+        cells = {c for i, c in enumerate(grid) if mask >> i & 1}
+        try:
+            Board(cells)
+            message = None
+        except NotADiskError as exc:
+            message = str(exc)
+        if message == "cells are not edge-connected":
+            continue
+        hole = _reference_has_hole(cells)
+        assert message == ("cell set encloses a hole" if hole else None), sorted(cells)
+        holes += hole
+    assert holes > 0
 
 
 def test_board_disconnected_rejected():
@@ -151,39 +184,6 @@ def test_validate_reports_identity_failure():
         validate(Broken())
 
 
-def test_bicolor_domino_and_2x2():
-    d = parse_glued("squares 2\nglue 0 1 1 3\n")
-    assert bicolor(d) == {0: "black", 1: "white"}
-    b = parse_board("##\n##")
-    colors = bicolor(b)
-    assert colors[(0, 0)] == colors[(1, 1)]
-    assert colors[(1, 0)] == colors[(0, 1)]
-    assert colors[(0, 0)] != colors[(1, 0)]
-
-
-def test_bicolor_slit13(slit13):
-    colors = bicolor(slit13)
-    assert sum(1 for c in colors.values() if c == "black") == 6
-    assert sum(1 for c in colors.values() if c == "white") == 7
-
-
-def test_dual_graph_domino_and_2x2():
-    d = parse_glued("squares 2\nglue 0 1 1 3\n")
-    assert dual_graph(d) == {0: (1,), 1: (0,)}
-    b = parse_board("##\n##")
-    adj = dual_graph(b)
-    assert all(len(v) == 2 for v in adj.values())  # a 4-cycle
-
-
-def test_dual_graph_matches_slit13_matrix(slit13):
-    from tests.conftest import SLIT13_MATRIX
-
-    adj = dual_graph(slit13)
-    for i in range(6):
-        for j in range(7):
-            assert (6 + j in adj[i]) == bool(SLIT13_MATRIX[i][j])
-
-
 def test_render_parse_roundtrip():
     for b in all_boards(6):
         assert parse_board(render_board(b)) == b.normalized()
@@ -215,3 +215,9 @@ def test_board_boundary_circuit_is_counterclockwise():
         for i in range(len(circuit))
     )
     assert area > 0
+
+
+def test_boundary_circuit_starts_at_the_smallest_point():
+    for b in all_boards(8):
+        circuit = b.boundary_circuit()
+        assert circuit[0] == min(circuit, key=cell_key)

@@ -52,7 +52,7 @@ def test_defective_identity_shape_rules():
 
 def test_block_eliminate_identity_case():
     m = intmat.identity(2)
-    left, middle, right = block_eliminate(m, [[0]], "column", (1, 1))
+    left, middle, right = block_eliminate(m, [[0]], (1, 1))
     assert left == [[1, 0], [0, 1]]
     assert middle == [[1, 0], [0, 1]]
     assert right == [[1, 0], [0, 1]]
@@ -69,19 +69,13 @@ def test_block_eliminate_random_column_and_row():
         m21 = [[rng.randint(-2, 2) for _ in range(np_)] for _ in range(mm)]
         m22 = [[rng.randint(-2, 2) for _ in range(mp)] for _ in range(mm)]
         m = [m11[i] + m12[i] for i in range(n)] + [m21[i] + m22[i] for i in range(mm)]
-        left, middle, right = block_eliminate(m, witness, "column", (n, np_))
+        left, middle, right = block_eliminate(m, witness, (n, np_))
         assert intmat.matmul(left, intmat.matmul(middle, right)) == m
-        # the row orientation is the transposed statement
-        mt = intmat.transpose(m, cols=np_ + mp)
-        lt, mid_t, rt = block_eliminate(
-            mt, intmat.transpose(witness, cols=np_), "row", (np_, n)
-        )
-        assert intmat.matmul(lt, intmat.matmul(mid_t, rt)) == mt
 
 
 def test_block_eliminate_bad_witness():
     with pytest.raises(WitnessInvalidError):
-        block_eliminate([[1, 1], [0, 1]], [[0]], "column", (1, 1))
+        block_eliminate([[1, 1], [0, 1]], [[0]], (1, 1))
 
 
 def _rect45_step(rect45):

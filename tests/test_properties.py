@@ -44,8 +44,7 @@ def _run(argv, text):
 def test_diagonals_and_cutpaste_fail_only_with_structured_errors(text, corner):
     runs = [["diagonals", "-", "--json"], ["cutpaste", "-"]]
     if corner is not None:
-        # the = form, since argparse reads a bare "-1,0" as an option
-        runs[1].append(f"--corner={corner}")
+        runs[1] += ["--corner", corner]
     for argv in runs:
         code, stdout = _run(argv, text)
         payload = json.loads(stdout)

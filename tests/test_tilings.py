@@ -334,3 +334,49 @@ def test_curve_correspondence_mod_4():
                     assert (len(curve) - hits[0]) % 4 == 0
                     checked += 1
     assert checked >= 20
+
+
+def reference_enumerate_tilings(disk) -> list[Tiling]:
+    """Recursive backtracking, the reference order for ``enumerate_tilings``."""
+    n = len(disk)
+    if n % 2:
+        return []
+    sqs = list(disk.squares)
+    idx = {s: i for i, s in enumerate(sqs)}
+    nbrs = [[idx[t] for t in disk.neighbors(s)] for s in sqs]
+    out: list[tuple] = []
+    chosen: list[tuple[int, int]] = []
+    covered = [False] * n
+
+    def rec(start: int) -> None:
+        i = start
+        while i < n and covered[i]:
+            i += 1
+        if i == n:
+            out.append(tuple(chosen))
+            return
+        covered[i] = True
+        for j in nbrs[i]:
+            if not covered[j]:
+                covered[j] = True
+                chosen.append((i, j))
+                rec(i + 1)
+                chosen.pop()
+                covered[j] = False
+        covered[i] = False
+
+    rec(0)
+    out.sort()
+    return [Tiling(tuple((sqs[a], sqs[b]) for a, b in doms)) for doms in out]
+
+
+def test_enumeration_matches_the_recursive_reference(boards_corpus, glued_corpus):
+    for disk in list(boards_corpus) + list(glued_corpus):
+        assert enumerate_tilings(disk) == reference_enumerate_tilings(disk), disk
+
+
+def test_matching_carries_the_root_tilings():
+    for b in all_boards(8, square_only=True):
+        m = quasi_perfect_matching(b)
+        assert list(m.tilings) == enumerate_tilings(b)
+    assert quasi_perfect_matching(parse_board("###")).tilings == ()
