@@ -142,6 +142,15 @@ def test_step_detects_corrupted_middle(rect45):
     bad = replace(matrix, entries=tuple(tuple(r) for r in rows))
     with pytest.raises(MiddleMismatchError):
         ldu_step(bad, d, cp)
+    # a row far from the cut: row 9 is square (4, 0), column 7 square (3, 0);
+    # neither of row 9's neighbors is a flank or a survivor
+    survivors = {s for _, _, s in cp.merges}
+    assert not set(board.neighbors(labeling[0][9])) & (set(cp.removed_flanks) | survivors)
+    rows = [list(r) for r in matrix.entries]
+    rows[9][7] = 0
+    bad = replace(matrix, entries=tuple(tuple(r) for r in rows))
+    with pytest.raises(MiddleMismatchError, match=r"entry \(5, 3\) is 0, adjacency says 1"):
+        ldu_step(bad, d, cp)
     # a labeling that does not put the removed squares first is rejected
     shuffled = (labeling[0][::-1], labeling[1])
     with pytest.raises(BadLabelingError):
@@ -311,3 +320,106 @@ def test_white_diagonal_step_views_multiply_back(bent_hexomino):
     assert intmat.is_lower_triangular(step.left) and intmat.is_upper_triangular(step.right)
     rb, rw = len(cp.removed_black), len(cp.removed_white)
     assert step.middle_block == [row[rw:] for row in step.middle[rb:]]
+
+
+# -- doctored cuts deep in the surgery tree -------------------------------------
+
+BOARD65 = [(x, y) for x in range(6) for y in range(5)]
+
+
+def _doctor_second_cut(monkeypatch, square):
+    """Make the fold's second cut report ``square`` on the wrong side.
+
+    Returns the list of cuts whose elimination step raised.
+    """
+    from dataclasses import replace
+
+    from qdisk import cutpaste, exact_ldu
+    from qdisk.errors import QdiskError
+
+    real_cut, real_step = cutpaste.cut_and_paste, exact_ldu.ldu_step
+    cuts, failed = [], []
+
+    def doctored(disk, d, *args):
+        cp = real_cut(disk, d, *args)
+        cuts.append(cp)
+        if len(cuts) == 2:
+            near = set(cp.removed_diagonal) | set(cp.removed_flanks) | {s for _, _, s in cp.merges}
+            doctored.near = near | {t for s in near for t in disk.neighbors(s)}
+            flipped = "left" if cp.side_of[square] == "right" else "right"
+            cp = replace(cp, side_of={**cp.side_of, square: flipped})
+            doctored.cut = cp
+        return cp
+
+    def step(matrix, d, cp):
+        try:
+            return real_step(matrix, d, cp)
+        except QdiskError:
+            failed.append(cp)
+            raise
+
+    monkeypatch.setattr(cutpaste, "cut_and_paste", doctored)
+    monkeypatch.setattr(exact_ldu, "ldu_step", step)
+    return doctored, failed
+
+
+def test_doctored_side_far_from_the_strip_is_caught(monkeypatch):
+    from qdisk import Board
+    from qdisk.errors import MiddleMismatchError
+
+    doctored, _ = _doctor_second_cut(monkeypatch, (0, 4))  # a black square
+    with pytest.raises((MiddleMismatchError, WitnessInvalidError)):
+        ldu_factorize(Board(BOARD65))
+    assert (0, 4) not in doctored.near  # no flank or survivor is at or next to it
+
+
+def test_doctored_side_seen_only_by_the_root_check(monkeypatch):
+    # no touched row meets white square (4, 1) at the second cut, so only the
+    # assembled L D U == B at the root can see its sign
+    from qdisk import Board
+
+    doctored, failed = _doctor_second_cut(monkeypatch, (4, 1))
+    with pytest.raises(WitnessInvalidError, match="assembled factorization"):
+        ldu_factorize(Board(BOARD65))
+    assert failed == []
+
+
+def test_doctored_touched_square_fails_at_its_level(monkeypatch):
+    # white square (2, 1) flanks removed black squares (1, 1) and (2, 2)
+    from qdisk import Board
+    from qdisk.errors import MiddleMismatchError
+
+    doctored, failed = _doctor_second_cut(monkeypatch, (2, 1))
+    with pytest.raises((MiddleMismatchError, WitnessInvalidError)):
+        ldu_factorize(Board(BOARD65))
+    assert (2, 1) in doctored.near
+    assert failed == [doctored.cut]
+
+
+def test_root_check_survives_python_O():
+    import subprocess
+    import sys
+
+    code = """
+from dataclasses import replace
+from qdisk import Board, cutpaste, ldu_factorize
+from qdisk.errors import QdiskError
+
+real, cuts = cutpaste.cut_and_paste, []
+
+def doctored(disk, d, *args):
+    cp = real(disk, d, *args)
+    cuts.append(cp)
+    if len(cuts) == 2:
+        flipped = "left" if cp.side_of[(4, 1)] == "right" else "right"
+        cp = replace(cp, side_of={**cp.side_of, (4, 1): flipped})
+    return cp
+
+cutpaste.cut_and_paste = doctored
+try:
+    ldu_factorize(Board([(x, y) for x in range(6) for y in range(5)]))
+except QdiskError as exc:
+    print(exc.code)
+"""
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=60)
+    assert out.stdout.strip() == "witness_invalid", out.stderr
